@@ -921,11 +921,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--local-iterations", type=int, default=1)
     solve.add_argument(
         "--kernel-impl",
-        choices=["fast", "reference", "vector"],
+        choices=["fast", "reference"],
         default="fast",
-        help="update kernels: symmetric BLAS fast path, the pre-optimization "
-        "reference, or 'vector' (fast kernels + planned type-grouped "
-        "vectorized assembly with cached sparsity plans)",
+        help="update tier: 'fast' (planned type-grouped assembly with cached "
+        "sparsity plans + symmetric BLAS kernels) or the paper-faithful "
+        "'reference' oracle (per-constraint assembly, out-of-place kernels)",
     )
     solve.add_argument("--anneal", default=None, help="start,decay (e.g. 100,0.5)")
     solve.add_argument(

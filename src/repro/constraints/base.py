@@ -25,8 +25,8 @@ class Constraint(abc.ABC):
     Vectorized group protocol
     -------------------------
     A subclass may additionally implement two classmethods that the
-    planned assembler (:mod:`repro.constraints.plan`, behind
-    ``UpdateOptions(kernel_impl="vector")``) uses to linearize *all*
+    planned assembler (:mod:`repro.constraints.plan`, the step-1 path of
+    the production ``UpdateOptions(kernel_impl="fast")`` tier) uses to linearize *all*
     same-type constraints of a batch in one shot instead of N Python
     calls:
 
@@ -40,8 +40,8 @@ class Constraint(abc.ABC):
         ``(rows, 3·len(atoms))`` in the same local column layout as
         :meth:`jacobian`.  Must reproduce the scalar
         ``evaluate``/``residual``/``jacobian`` triple (``z = h + residual``)
-        including every degeneracy guard, so the vector tier agrees with
-        the scalar tiers to tight tolerance.
+        including every degeneracy guard, so the production tier agrees
+        with the scalar ``reference`` assembler to tight tolerance.
 
     The planned assembler dispatches on the *exact* class (a subclass
     that overrides the scalar methods without re-implementing the group

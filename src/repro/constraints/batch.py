@@ -69,7 +69,7 @@ def make_batches(
     ``group_by_type=True`` stably regroups the constraints by exact type
     before packing (types ordered by first appearance, input order kept
     within each type).  Homogeneous batches maximize the width of the
-    planned vectorized assembly (``kernel_impl="vector"``); because batch
+    planned vectorized assembly of the production ``fast`` tier; because batch
     composition changes, results differ from the legacy packing in the
     usual order-dependent-round-off sense.
     """

@@ -1,4 +1,4 @@
-"""Compile-once / evaluate-many batch assembly (the ``vector`` tier).
+"""Compile-once / evaluate-many batch assembly (the production ``fast`` tier).
 
 :func:`repro.constraints.batch.assemble_batch` re-derives everything on
 every call: it loops over the batch's constraints in Python, calls each
@@ -31,15 +31,18 @@ protocol (e.g. :class:`~repro.constraints.base.LinearConstraint`) fall
 back to their scalar methods inside the same plan, so the tier handles
 arbitrary constraint mixes.
 
-Plans are cached in the per-thread workspace arena keyed by constraint
-*identity* (:meth:`repro.linalg.workspace.Workspace.plan_for`), so they
-survive cycles, ``local_iterations`` and warm session re-solves, and an
-edit that replaces a constraint object invalidates exactly the plans
-that contained it.
+Plans are cached process-wide, keyed by constraint *identity*
+(:meth:`repro.linalg.workspace.Workspace.plan_for`), so they
+survive cycles, ``local_iterations`` and warm session re-solves.  A plan
+keeps no strong reference to its constraints (scalar-fallback items hold
+weak ones), so the cache can drop it the moment one of them is
+collected: an edit that replaces a constraint object frees exactly the
+plans that contained it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +75,7 @@ class _VectorGroup:
 class _ScalarItem:
     """One constraint without the group protocol (scalar fallback)."""
 
-    constraint: Constraint
+    constraint: "weakref.ref[Constraint]"
     row0: int
     dimension: int
     data_pos: np.ndarray
@@ -101,9 +104,6 @@ class BatchPlan:
         if n_columns is None:
             raise ConstraintError("n_columns is required to build a BatchPlan")
         t0 = timed()
-        # Strong references pin the constraint objects while the plan is
-        # cached, keeping id()-based cache keys collision-free.
-        self.constraints = batch.constraints
         m = batch.dimension
         n = int(n_columns)
         self.m = m
@@ -185,17 +185,19 @@ class BatchPlan:
             if key is not None
         )
         self.scalar_items: tuple[_ScalarItem, ...] = tuple(
-            _ScalarItem(c, r0, c.dimension, dp)
+            _ScalarItem(weakref.ref(c), r0, c.dimension, dp)
             for key, g in grouped.items()
             if key is None
             for c, r0, dp in zip(g["constraints"], g["row0"], g["dpos"])
         )
         seconds = timed() - t0
-        # Plan builds are dominated by the per-constraint sort/scatter
-        # precompute: O(nnz) index traffic, negligible flops.
+        # Plan builds are the per-constraint sort/scatter precompute:
+        # O(nnz) index traffic and no floating-point work.  Counting zero
+        # flops keeps a solve's flop totals independent of whether its
+        # plans were already cached.
         emit(
             OpCategory.VECTOR,
-            4.0 * nnz,
+            0.0,
             8.0 * (4 * nnz + 2 * m),
             (m,),
             seconds,
@@ -229,7 +231,9 @@ class BatchPlan:
             data[g.data_pos] = jac.ravel()
             flops += g.flops_per_row * hg.shape[0]
         for item in self.scalar_items:
-            c = item.constraint
+            c = item.constraint()
+            if c is None:
+                raise ConstraintError("BatchPlan used after its constraints died")
             hv = c.evaluate(coords)
             h[item.row0 : item.row0 + item.dimension] = hv
             z[item.row0 : item.row0 + item.dimension] = hv + c.residual(coords)

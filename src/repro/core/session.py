@@ -149,7 +149,7 @@ class _SessionCache:
 class SolveSession:
     """Warm-start solve state retained across constraint edits.
 
-    With ``UpdateOptions(kernel_impl="vector")`` the session also keeps
+    Under the production ``"fast"`` kernel tier the session also keeps
     the compiled assembly plans warm for free: plans are cached in the
     workspace arena keyed by constraint *identity*
     (:meth:`repro.linalg.workspace.Workspace.plan_for`), and
@@ -157,7 +157,9 @@ class SolveSession:
     replace exactly the edited ones — so a warm :meth:`resolve` reuses
     every clean batch's plan and rebuilds only plans whose batch
     contained an edited constraint (or whose node's batch packing
-    shifted around an insertion/removal).
+    shifted around an insertion/removal).  The cache holds constraints
+    weakly, so a replaced constraint's plans are freed with it, and a
+    dropped session frees all of its plans.
 
     Parameters
     ----------
@@ -606,7 +608,10 @@ class SolveSession:
 
         ``batch_size``/``options`` default to the values recorded in the
         manifest — warm re-solves are only exact under the solver
-        configuration that produced the cached posteriors.
+        configuration that produced the cached posteriors.  A manifest
+        saved before the kernel tiers collapsed may record
+        ``kernel_impl: "vector"`` (planned assembly); that tier is the
+        production ``"fast"`` tier now, so it loads as ``"fast"``.
 
         If the stored manifest has a *staged* re-solve (the previous
         process died mid-:meth:`resolve`), the loaded session's dirty
@@ -623,7 +628,8 @@ class SolveSession:
         if batch_size is None:
             batch_size = manifest.get("batch_size", 16)
         if options is None:
-            options = UpdateOptions(kernel_impl=manifest.get("kernel_impl", "fast"))
+            impl = manifest.get("kernel_impl", "fast")
+            options = UpdateOptions(kernel_impl="fast" if impl == "vector" else impl)
         root = _decode_hierarchy(manifest["hierarchy"])
         hierarchy = Hierarchy(root, manifest["n_atoms"])
         session = cls(

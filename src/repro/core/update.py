@@ -58,7 +58,7 @@ from repro.linalg.workspace import get_workspace
 from repro.util.validation import symmetrize
 
 #: Valid values of :attr:`UpdateOptions.kernel_impl`.
-KERNEL_IMPLS = ("fast", "reference", "vector")
+KERNEL_IMPLS = ("fast", "reference")
 
 
 @dataclass(frozen=True)
@@ -148,17 +148,18 @@ class UpdateOptions:
         nonlinear constraints can create (the analytical-procedure trap the
         paper combats with a conformational-search preprocessing step).
     kernel_impl:
-        ``"fast"`` (default) runs steps 2-6 through the symmetry-aware,
-        workspace-reusing kernels of :mod:`repro.linalg.fast` (symmetric
-        ``C·Hᵗ``, one in-place triangular solve, rank-m ``syrk``
-        downdate — see docs/performance.md); ``"vector"`` runs the same
-        kernels but replaces the per-constraint step-1 assembly loop with
-        the compile-once/evaluate-many planned assembler of
-        :mod:`repro.constraints.plan` (type-grouped ``linearize_many``
-        over a cached CSR structure); ``"reference"`` runs the original
-        out-of-place kernels and reproduces pre-optimization results
-        bitwise.  All tiers agree to high precision (property tested at
-        rtol 1e-10 in tests/test_fast_kernels.py, three-way).
+        ``"fast"`` (default) is the production tier: step 1 evaluates the
+        batch through a compiled :class:`~repro.constraints.plan.BatchPlan`
+        (type-grouped ``linearize_many`` over a cached CSR structure,
+        looked up with :meth:`~repro.linalg.workspace.Workspace.plan_for`),
+        and steps 2-6 run through the symmetry-aware, workspace-reusing
+        kernels of :mod:`repro.linalg.fast` (symmetric ``C·Hᵗ``, one
+        in-place triangular solve, rank-m ``syrk`` downdate — see
+        docs/performance.md).  ``"reference"`` is the paper-faithful
+        oracle: the per-constraint assembler
+        :func:`~repro.constraints.batch.assemble_batch` feeding the
+        original out-of-place kernels, bitwise-stable across releases.
+        The tiers agree to rtol 1e-10 (tests/test_fast_kernels.py).
     schedule:
         Optional :class:`AnnealSchedule` applied per batch on top of
         ``noise_scale``: batch ``step`` runs at
@@ -218,15 +219,6 @@ def apply_batch(
     n = x.shape[0]
     injector = current_injector()
 
-    # The vector tier linearizes through a compiled BatchPlan cached in the
-    # per-thread arena; the plan survives the local-iteration loop below as
-    # well as later cycles that re-wrap the same constraints.
-    plan = (
-        get_workspace().plan_for(batch, atom_to_column, n_columns=n)
-        if options.kernel_impl == "vector"
-        else None
-    )
-
     with obs.span(
         "batch",
         cat="update",
@@ -234,6 +226,14 @@ def apply_batch(
         n_constraints=len(batch.constraints),
         state_dim=int(n),
     ):
+        # The production tier linearizes through a compiled, cached
+        # BatchPlan; the plan survives the local-iteration loop below as
+        # well as later cycles that re-wrap the same constraints.
+        plan = (
+            None
+            if options.kernel_impl == "reference"
+            else get_workspace().plan_for(batch, atom_to_column, n_columns=n)
+        )
         coords_owner: _CoordsView | None = None
         # After the first local iteration the running (x, c) is this call's
         # own intermediate, so later iterations always own the covariance.
@@ -365,8 +365,6 @@ def _attempt_update(
             x, c, z, h, big_h, r, n, options, regularization, injector
         )
     else:
-        # "fast" and "vector" share the kernel path; the vector tier
-        # additionally hands over its precomputed support restriction.
         x_new, c_new = _fast_steps(
             x, c, z, h, big_h, r, n, options, regularization, injector,
             support=support, h_s=h_s, c_owned=c_owned,
@@ -427,8 +425,8 @@ def _fast_steps(
     options: UpdateOptions,
     regularization: float,
     injector: FaultInjector | None,
-    support: np.ndarray | None = None,
-    h_s: np.ndarray | None = None,
+    support: np.ndarray,
+    h_s: np.ndarray,
     c_owned: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steps 2-6 through the symmetric in-place kernels of :mod:`repro.linalg.fast`.
@@ -443,15 +441,11 @@ def _fast_steps(
     and with ``c_owned`` even that disappears: the caller has declared
     the prior covariance dead, so the downdate runs in place on it.
 
-    ``support``/``h_s`` may be supplied by the planned assembler (the
-    ``vector`` tier), skipping the per-attempt support scan and dense
-    restriction below.
+    ``support``/``h_s`` are the plan's precomputed column support and
+    dense restriction ``H[:, support]``.
     """
     m = z.shape[0]
     ws = get_workspace()
-    if support is None:
-        support = big_h.column_support()  # the s state columns H touches
-        h_s = big_h.restrict_columns(support).to_dense()  # (m, s) dense
     s_cols = int(support.size)
     # Step 2: C⁻Hᵗ. Gathered thin GEMM when the support is sparse relative
     # to the state; dsymm on the full (symmetric) C when it is not.

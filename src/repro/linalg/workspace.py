@@ -19,18 +19,24 @@ Aliasing rules
   share a buffer.  Worker processes get their own arena per process.
 * Contents are *not* zeroed on reuse; callers overwrite fully.
 
-Besides scratch buffers the arena also caches the compiled
+Besides scratch buffers the arena also looks up the compiled
 :class:`~repro.constraints.plan.BatchPlan` sparsity plans of the
-``vector`` kernel tier (:meth:`Workspace.plan_for`), keyed by constraint
-identity so they survive cycles, local iterations and warm session
-re-solves, and are invalidated exactly when a constraint object is
-replaced by an edit.
+production (``"fast"``) kernel tier (:meth:`Workspace.plan_for`), keyed
+by constraint identity so they survive cycles, local iterations and warm
+session re-solves.  Unlike the buffers, plans are read-only once built,
+so one cache serves every thread of the process: a node solved on a
+different thread than last cycle still hits, and the thread backend
+holds one copy of each plan rather than one per thread.  The cache holds
+its constraints only weakly: a plan is dropped as soon as any constraint
+it was built from is collected, so an edit frees exactly the plans that
+contained a replaced constraint and a dropped problem frees all of its
+plans.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,12 +55,8 @@ class Workspace:
     wrappers in :mod:`repro.linalg.fast` need to work in place.
     """
 
-    #: Upper bound on cached batch plans per arena (LRU eviction beyond).
-    plan_capacity = 1024
-
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
-        self._plans: OrderedDict[tuple, "BatchPlan"] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.plan_hits = 0
@@ -93,11 +95,17 @@ class Workspace:
         cycle but keep the underlying constraint objects, so plans hit
         across cycles, local iterations and warm ``SolveSession.resolve()``
         re-solves; a session edit replaces constraint objects and thereby
-        misses exactly the plans that contained one.  Each cached plan
-        holds strong references to its constraints, so a cached key can
-        never alias a recycled ``id()``.  The cache is LRU-bounded at
-        :attr:`plan_capacity`; ``plan_hits`` / ``plan_builds`` count reuse.
+        misses exactly the plans that contained one.
+
+        An entry lives exactly as long as all of its constraints: it holds
+        them through weak references whose callback drops the entry when
+        any one is collected, on whichever thread that happens (a single
+        ``dict.pop`` under the GIL).  The callback runs before the dead
+        object's memory can be reused, so a cached key can never alias a
+        recycled ``id()``.  The cache is shared by every thread's arena;
+        ``plan_hits`` / ``plan_builds`` count this arena's lookups.
         """
+        from repro import obs  # deferred: keep arena importable standalone
         from repro.constraints.plan import BatchPlan  # deferred: import cycle
 
         if atom_to_column is None:
@@ -109,33 +117,41 @@ class Workspace:
             None if n_columns is None else int(n_columns),
             slot_key,
         )
-        from repro import obs  # deferred: keep arena importable standalone
-
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._plans.move_to_end(key)
+        entry = _PLANS.get(key)
+        if entry is not None:
             self.plan_hits += 1
             obs.inc("plan.cache_hits")
-            return plan
+            return entry[0]
         plan = BatchPlan(batch, atom_to_column, n_columns)
-        self._plans[key] = plan
         self.plan_builds += 1
         obs.inc("plan.cache_builds")
-        while len(self._plans) > self.plan_capacity:
-            self._plans.popitem(last=False)
+
+        def drop(_ref, key=key):
+            _PLANS.pop(key, None)
+
+        # Two threads missing on the same key both build; the later store
+        # wins and the earlier entry's weak references die with it.
+        _PLANS[key] = (plan, [weakref.ref(c, drop) for c in batch.constraints])
         return plan
+
+    def plan_count(self) -> int:
+        """Number of batch plans currently cached (process-wide)."""
+        return len(_PLANS)
 
     def nbytes(self) -> int:
         """Total bytes currently held by the arena's scratch buffers."""
         return sum(b.nbytes for b in self._buffers.values())
 
     def clear(self) -> None:
-        """Drop every cached buffer and batch plan (frees the memory)."""
+        """Drop this arena's buffers and every cached batch plan."""
         self._buffers.clear()
-        self._plans.clear()
+        _PLANS.clear()
 
 
 _LOCAL = threading.local()
+#: The process-wide plan cache: key -> (plan, weak references to the
+#: plan's constraints).  Every access is a single dict operation.
+_PLANS: dict[tuple, tuple["BatchPlan", list]] = {}
 
 
 def get_workspace() -> Workspace:

@@ -30,6 +30,7 @@ import abc
 import concurrent.futures
 import os
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
 from typing import Callable, Sequence, TypeVar
 
 from repro import obs
@@ -238,7 +239,15 @@ class ProcessExecutor(Executor):
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
         self.max_resubmits = max_resubmits
-        self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers)
+        self._pool = self._new_pool()
+
+    def _new_pool(self) -> concurrent.futures.ProcessPoolExecutor:
+        # Workers fork lazily on submit and inherit the parent's resource
+        # tracker only if it already runs; a worker forked before it would
+        # start a private tracker that unlinks every shared-memory segment
+        # the worker attached when it exits (see repro.parallel.shm).
+        resource_tracker.ensure_running()
+        return concurrent.futures.ProcessPoolExecutor(max_workers=self.n_workers)
 
     def submit(self, fn, item, crash=False):
         injector = current_injector()
@@ -252,9 +261,7 @@ class ProcessExecutor(Executor):
             "executor.pool_rebuild", cat="executor", workers=self.n_workers
         )
         self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.n_workers
-        )
+        self._pool = self._new_pool()
 
     def _dispatch(self, fn, tasks):
         injector = current_injector()

@@ -24,9 +24,14 @@ Lifetime rules
   task re-reads its intact prior (the prior slot is never written after
   creation; the posterior slot is fully overwritten on every attempt).
 * Resource-tracker registrations (which attach performs too on this
-  Python) are left to coalesce in the fork-shared tracker's set cache
-  and are cleared exactly once by the owner's ``unlink`` — see
-  :func:`_attach` for why no manual untracking happens.
+  Python) are left to coalesce in the tracker's set cache and are
+  cleared exactly once by the owner's ``unlink`` — see :func:`_attach`
+  for why no manual untracking happens.  This needs the workers to share
+  the dispatching process's tracker, which they do only if it was
+  running when they forked: :class:`~repro.parallel.executors.ProcessExecutor`
+  starts it before creating (or rebuilding) its pool.  A worker forked
+  without it starts a private tracker, which unlinks every segment the
+  worker ever attached — pinned posteriors included — when it exits.
 * :meth:`SharedEstimatePlane.release` and :meth:`close` are idempotent,
   so crash-recovery paths may release defensively; ``close`` runs in the
   scheduler's ``finally`` so no cycle outcome leaks segments.
@@ -86,7 +91,8 @@ def _attach(handle: EstimateHandle) -> shared_memory.SharedMemory:
 
     On this Python, attaching registers the name with the resource
     tracker just like creating does.  The pool's forked workers share
-    the parent's tracker, whose cache is a *set*: the duplicate
+    the parent's tracker (:class:`~repro.parallel.executors.ProcessExecutor`
+    starts it before they fork), whose cache is a *set*: the duplicate
     registrations coalesce, and the single ``unregister`` issued by the
     owning plane's ``unlink`` clears the name exactly once (tracker-pipe
     writes are ordered, and every worker registration precedes the

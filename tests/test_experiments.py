@@ -15,7 +15,28 @@ from repro.experiments.exp_table2 import (
     run_table2,
 )
 from repro.experiments.exp_parallel import EXHIBITS, figure_series
+from repro.linalg import Recorder, recording
 from repro.molecules.rna import build_helix
+from repro.util.timer import WallClock, set_wall_clock
+
+
+class _FlopClock(WallClock):
+    """A fake clock priced by work: 1 ns per FLOP its recorder has seen.
+
+    Activate ``recorder`` around the timed code; every kernel it records
+    advances the clock, so timings depend on the op counts alone.
+    """
+
+    def __init__(self):
+        self.recorder = Recorder()
+        self._seen = 0
+        self._flops = 0.0
+
+    def now(self) -> float:
+        events = self.recorder.events
+        self._flops += sum(e.flops for e in events[self._seen :])
+        self._seen = len(events)
+        return 1e-9 * self._flops
 
 
 class TestPaperData:
@@ -100,9 +121,23 @@ class TestTable2Harness:
     def test_times_positive(self, result):
         assert np.all(result.times > 0)
 
-    def test_larger_nodes_slower(self, result):
-        # Allow small timing jitter at these micro-scale cells.
-        assert np.all(result.times[:, 1] >= 0.8 * result.times[:, 0])
+    @pytest.fixture(scope="class")
+    def flop_priced(self):
+        """The same grid timed by a FLOP-priced clock (no wall-clock noise)."""
+        clock = _FlopClock()
+        previous = set_wall_clock(clock)
+        try:
+            with recording(clock.recorder):
+                return run_table2(
+                    lengths=(1, 2), batch_dims=(4, 8, 32), max_rows_per_cell=128,
+                    fit=False,
+                )
+        finally:
+            set_wall_clock(previous)
+
+    def test_larger_nodes_slower(self, flop_priced):
+        assert np.all(flop_priced.times > 0)
+        assert np.all(flop_priced.times[:, 1] >= 0.8 * flop_priced.times[:, 0])
 
     def test_model_fitted(self, result):
         assert result.model is not None

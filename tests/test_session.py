@@ -260,6 +260,25 @@ class TestPersistence:
         assert loaded.options.kernel_impl == session.options.kernel_impl
         assert len(loaded.constraints) == len(session.constraints)
 
+    def test_vector_manifest_loads_as_fast(self, helix2_problem, tmp_path):
+        """Manifests naming the old planned-assembly tier still load."""
+        est = helix2_problem.initial_estimate(0)
+        session = SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints, store=tmp_path
+        )
+        session.solve(est, max_cycles=1, tol=0.0)
+        store = SessionStore(tmp_path)
+        manifest = store.load_manifest()
+        manifest["kernel_impl"] = "vector"
+        store.save_manifest(manifest)
+        loaded = SolveSession.load(tmp_path)
+        assert loaded.options.kernel_impl == "fast"
+        assert loaded.labels["kernel_impl"] == "fast"
+        _assert_estimates_equal(
+            loaded.resolve(scope="full").estimate,
+            session.resolve(scope="full").estimate,
+        )
+
     def test_killed_resolve_resumes_without_redoing_done_nodes(
         self, helix2_problem, tmp_path
     ):

@@ -8,7 +8,14 @@ so a resubmitted task re-reads its intact prior.
 """
 
 import glob
+import json
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,3 +232,59 @@ class TestCrashRecoveryWithPlane:
                 "shm.segments_released"
             ]
         assert _shm_entries() == before
+
+
+# Runs in a fresh interpreter so no resource tracker is running before the
+# pool forks.  The pool is warmed before the session exists, as a client
+# that starts its workers early does.  The pinned segments are untracked
+# before exit so they outlive the script and the test can inspect them.
+_WARM_POOL_SCRIPT = textwrap.dedent(
+    """
+    import json
+    from multiprocessing import resource_tracker
+
+    import repro.core
+    from repro.core.session import SolveSession
+    from repro.molecules.rna import build_helix
+    from repro.parallel.executors import ProcessExecutor
+
+    problem = build_helix(1)
+    executor = ProcessExecutor(2)
+    for future in [executor.submit(abs, 0) for _ in range(2)]:
+        future.result()
+    session = SolveSession(problem.hierarchy, problem.constraints, executor=executor)
+    session.solve(problem.initial_estimate(0), max_cycles=1, tol=0.0)
+    plane = session._plane
+    names = [plane.pinned_name(n.nid) for n in session.hierarchy.nodes
+             if plane.has_pinned(n.nid)]
+    executor.close()  # every worker exits here
+    for name in names:
+        resource_tracker.unregister("/" + name, "shared_memory")
+    print(json.dumps(names))
+    """
+)
+
+
+class TestResourceTracker:
+    def test_pinned_segments_survive_worker_exit(self):
+        """Workers forked before any segment exists share the parent's tracker.
+
+        A worker with a private tracker has every segment it attached
+        unlinked when it exits, and its tracker warns about each one.
+        ``subprocess.run`` returns only once every holder of the stderr
+        pipe, worker trackers included, has exited, so both checks see
+        the trackers' final state.
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WARM_POOL_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = json.loads(proc.stdout.strip().splitlines()[-1])
+        survivors = [n for n in names if os.path.exists(f"/dev/shm/{n}")]
+        for name in survivors:
+            shared_memory.SharedMemory(name=name).unlink()
+        assert names and survivors == names
+        assert "resource_tracker" not in proc.stderr

@@ -12,8 +12,15 @@ Three layers of agreement, each tighter than the solver-level harness in
   ``assemble_batch`` and scatters values into identical positions;
 * lifecycle: plans are cached per constraint identity in the workspace
   arena, survive warm :meth:`~repro.core.session.SolveSession.resolve`
-  untouched, and an edit rebuilds exactly the plans whose batch changed.
+  untouched, an edit rebuilds exactly the plans whose batch changed, and
+  no cached plan outlives the constraints it was built from.
 """
+
+import collections
+import gc
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +40,7 @@ from repro.constraints.batch import assemble_batch, make_batches
 from repro.core.session import SolveSession
 from repro.core.update import UpdateOptions
 from repro.linalg import get_workspace
+from repro.parallel import ThreadExecutor
 
 RTOL = 1e-12
 ATOL = 1e-12
@@ -298,7 +306,6 @@ class TestPlanCacheLifecycle:
         session = SolveSession(
             helix2_problem.hierarchy,
             helix2_problem.constraints,
-            options=UpdateOptions(kernel_impl="vector"),
         )
         session.solve(helix2_problem.initial_estimate(0), max_cycles=2, tol=0.0)
         assert ws.plan_builds > 0
@@ -313,7 +320,6 @@ class TestPlanCacheLifecycle:
         session = SolveSession(
             helix2_problem.hierarchy,
             helix2_problem.constraints,
-            options=UpdateOptions(kernel_impl="vector"),
         )
         session.solve(helix2_problem.initial_estimate(0), max_cycles=2, tol=0.0)
         cid, old = next(
@@ -333,38 +339,123 @@ class TestPlanCacheLifecycle:
         # only the one batch containing the edited constraint replans
         assert ws.plan_builds == 1
 
-    def test_lru_eviction(self, rng):
-        from repro.linalg import Workspace
+    def test_plans_released_with_their_constraints(self, helix2_problem):
+        """Dropping a solver's problem frees its plans; an edit frees one."""
+        ws = get_workspace()
+        ws.clear()
+        ws.plan_builds = 0
+        session = SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints
+        )
+        session.solve(helix2_problem.initial_estimate(0), max_cycles=1, tol=0.0)
+        cached = ws.plan_count()
+        assert cached == ws.plan_builds > 0
+        cid, old = next(
+            (cid, c)
+            for cid, c in session.constraints.items()
+            if isinstance(c, DistanceConstraint)
+        )
+        session.update_constraints(
+            {cid: DistanceConstraint(old.i, old.j, old.distance, old.sigma2)}
+        )
+        del old
+        helix2_problem.constraints.clear()  # the fixture's list pins them too
+        gc.collect()
+        # only the plan of the batch holding the replaced constraint went
+        assert ws.plan_count() == cached - 1
+        del session
+        for node in helix2_problem.hierarchy.nodes:
+            node.constraints.clear()
+        gc.collect()
+        assert ws.plan_count() == 0
 
-        coords, cs = _chain_constraints(rng, 6)
-        ws = Workspace()
-        ws.plan_capacity = 2
+    def test_thread_backend_plans_shared_and_freed(self, rng):
+        """Worker threads share one plan per batch; the caller's thread
+        frees them by dropping the constraints."""
+        coords, cs = _chain_constraints(rng, 8)
+        batches = make_batches(cs, 4)
         n = 3 * coords.shape[0]
-        batches = make_batches(cs, 3)[:3]
-        for b in batches:
-            ws.plan_for(b, n_columns=n)
-        assert ws.plan_builds == 3
-        ws.plan_for(batches[0], n_columns=n)  # evicted → rebuilt
-        assert ws.plan_builds == 4
-        ws.plan_for(batches[2], n_columns=n)  # still resident → hit
-        assert ws.plan_hits == 1
+        barrier = threading.Barrier(2)
+        get_workspace().clear()
+
+        def plan_all(_):
+            barrier.wait()  # one task per worker thread, by construction
+            ws = get_workspace()
+            for b in batches:
+                ws.plan_for(b, n_columns=n)
+            return ws
+
+        with ThreadExecutor(2) as executor:
+            arenas = [f.result() for f in [executor.submit(plan_all, None)
+                                           for _ in range(2)]]
+        assert arenas[0] is not arenas[1]
+        assert get_workspace().plan_count() == len(batches)
+        refs = [weakref.ref(c) for c in cs]
+        del cs, batches, plan_all
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert get_workspace().plan_count() == 0
+
+    def test_cross_thread_release_stress(self):
+        """Threads plan fresh constraints while other threads free theirs.
+
+        Fresh constraint objects may reuse the ``id()`` of freed ones, so
+        a plan lookup on them hits only if a dead entry survived.
+        """
+        handoff = collections.deque()
+        barrier = threading.Barrier(4)
+        get_workspace().clear()
+
+        def churn(seed):
+            rng = np.random.default_rng(seed)
+            ws = get_workspace()
+            barrier.wait()  # four tasks on four distinct worker threads
+            stale_hits = 0
+            for _ in range(100):
+                coords, cs = _chain_constraints(rng, 6)
+                for b in make_batches(cs, 4):
+                    builds = ws.plan_builds
+                    assert ws.plan_for(b, n_columns=18).m == b.dimension
+                    stale_hits += ws.plan_builds == builds
+                handoff.append(cs)
+                del cs, b
+                try:
+                    handoff.popleft()  # often another thread's constraints
+                except IndexError:
+                    pass
+            return stale_hits
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadExecutor(4) as executor:
+                futures = [executor.submit(churn, seed) for seed in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(previous)
+        handoff.clear()
+        gc.collect()
+        assert results == [0, 0, 0, 0]
+        assert get_workspace().plan_count() == 0
 
 
 class TestVectorImplEndToEnd:
     def test_flat_solve_matches_fast(self, square_estimate, square_constraints):
-        from repro.core.update import apply_batch
+        """The plan hands the fast kernels what the scalar assembler would."""
+        from repro.core.update import _update_with_retry, apply_batch
 
         batch = make_batches(square_constraints, 100)[0]
-        fast = apply_batch(
-            square_estimate, batch, options=UpdateOptions(kernel_impl="fast")
+        options = UpdateOptions()
+        vec = apply_batch(square_estimate, batch, options=options)
+        x, c = square_estimate.mean, square_estimate.covariance
+        z, h, big_h, r = assemble_batch(batch, x.reshape(-1, 3))
+        support = big_h.column_support()
+        fast = _update_with_retry(
+            x, c, z, h, big_h, r, x.shape[0], options, None, None,
+            support=support, h_s=big_h.restrict_columns(support).to_dense(),
         )
-        vec = apply_batch(
-            square_estimate, batch, options=UpdateOptions(kernel_impl="vector")
-        )
-        np.testing.assert_allclose(vec.mean, fast.mean, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(
-            vec.covariance, fast.covariance, rtol=1e-10, atol=1e-12
-        )
+        np.testing.assert_allclose(vec.mean, fast[0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(vec.covariance, fast[1], rtol=1e-10, atol=1e-12)
 
     def test_out_of_map_atom_raises_like_scalar_path(self, rng):
         from repro.errors import ConstraintError
