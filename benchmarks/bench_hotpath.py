@@ -34,9 +34,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import repro.core  # noqa: F401  - must import before repro.molecules.rna
-from repro.constraints.batch import make_batches
-from repro.core.update import UpdateOptions, apply_batch
+from repro.core.flat import FlatSolver
+from repro.core.update import UpdateOptions
 from repro.molecules.ribosome import build_ribo30s
 from repro.molecules.rna import build_helix
 from repro.obs.regress import check_metric, hotpath_metric
@@ -113,14 +112,11 @@ def _bench_flat(problem, impl: str, repeats: int, seed: int = 0) -> dict:
     hierarchical cycle (whose many small leaf solves dilute the ratio).
     """
     estimate = problem.initial_estimate(seed)
-    options = UpdateOptions(kernel_impl=impl)
-    batches = make_batches(problem.constraints, 16)
-    rows = sum(b.dimension for b in batches)
+    solver = FlatSolver(problem.constraints, 16, UpdateOptions(kernel_impl=impl))
+    rows = solver.n_constraint_rows
 
     def solve():
-        est = estimate
-        for batch in batches:
-            est = apply_batch(est, batch, options=options)
+        solver.run_cycle(estimate)
 
     solve()  # warm-up: plan builds, workspace buffers
     best = float("inf")

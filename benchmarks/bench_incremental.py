@@ -34,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-import repro.core  # noqa: F401  - must import before repro.molecules.*
 from repro.constraints.distance import DistanceConstraint
 from repro.core.session import SolveSession
 from repro.molecules.ribosome import build_ribo30s

@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 
-import repro.core  # noqa: F401  - must import before repro.molecules.*
 from repro.core.update import UpdateOptions
 from repro.molecules.ribosome import build_ribo30s
 from repro.molecules.rna import build_helix

@@ -31,7 +31,6 @@ import time
 
 import numpy as np
 
-import repro.core  # noqa: F401  - must import before repro.molecules.*
 from repro.core.session import SolveSession
 from repro.molecules.superpose import superposed_rmsd
 from repro.scenarios import build_scenario, spec_from_seed

@@ -17,7 +17,6 @@ import numpy as np
 from repro.constraints.base import Constraint
 from repro.core.state import StructureEstimate
 from repro.errors import DimensionError
-from repro.experiments.report import render_table
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,10 @@ def residual_report(
 
 
 def format_residual_report(report: ResidualReport, max_outliers: int = 10) -> str:
+    # Imported here: repro.experiments imports the molecule builders, which
+    # import repro.core, so a module-level import is a cycle.
+    from repro.experiments.report import render_table
+
     rows = [
         (
             g.type_name,

@@ -17,7 +17,12 @@ from repro import obs
 from repro.constraints.base import Constraint
 from repro.constraints.batch import make_batches
 from repro.core.state import StructureEstimate
-from repro.core.update import UpdateOptions, apply_batch
+from repro.core.update import (
+    UpdateOptions,
+    apply_batch,
+    complete_posterior,
+    quarantine_record,
+)
 from repro.errors import BatchUpdateError
 from repro.faults.report import QuarantineRecord, RetryReport
 from repro.linalg.counters import Recorder, current_recorder, recording
@@ -91,31 +96,23 @@ class FlatSolver:
                 # ``produced`` marks ``current`` as this loop's own
                 # intermediate (never the caller's estimate), letting
                 # apply_batch recycle its covariance buffer in place.
+                # Intermediates keep one triangle; the last batch
+                # completes the posterior inside its own call.
                 produced = False
+                last = len(self.batches) - 1
                 with rec.tagged("flat"):
                     for step, batch in enumerate(self.batches):
                         try:
                             current = apply_batch(
                                 current, batch, None, opts, retry_log=retries,
                                 step=step, consume_estimate=produced,
+                                complete=step == last,
                             )
                             produced = True
                         except BatchUpdateError as exc:
-                            obs.instant(
-                                "batch.quarantined",
-                                cat="fault",
-                                nid="flat",
-                                rows=batch.dimension,
-                            )
-                            obs.inc("solve.batches_quarantined")
-                            quarantined.append(
-                                QuarantineRecord(
-                                    nid="flat",
-                                    n_constraints=len(batch.constraints),
-                                    n_rows=batch.dimension,
-                                    reason=str(exc),
-                                )
-                            )
+                            quarantined.append(quarantine_record("flat", batch, exc))
+                            if step == last and produced:
+                                complete_posterior(current, opts)
         obs.inc("solve.cycles")
         obs.observe_latency("cycle.seconds", timer.elapsed)
         return FlatCycleResult(

@@ -31,7 +31,12 @@ from repro import obs
 from repro.constraints.batch import make_batches
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
-from repro.core.update import UpdateOptions, apply_batch
+from repro.core.update import (
+    UpdateOptions,
+    apply_batch,
+    complete_posterior,
+    quarantine_record,
+)
 from repro.errors import BatchUpdateError, HierarchyError, WorkerCrashError
 from repro.faults.injector import current_injector
 from repro.faults.report import QuarantineRecord, RetryReport
@@ -353,8 +358,10 @@ class HierarchicalSolver:
         cmap = node.column_map(self.hierarchy.n_atoms)
         # ``produced`` marks ``local`` as this loop's own intermediate
         # (never the cached node prior), letting apply_batch recycle its
-        # covariance buffer in place.
+        # covariance buffer in place.  Intermediates keep one triangle;
+        # the last batch completes the posterior inside its own call.
         produced = False
+        last = len(batches) - 1
         for step, batch in enumerate(batches):
             try:
                 local = apply_batch(
@@ -365,24 +372,13 @@ class HierarchicalSolver:
                     retry_log=retries,
                     step=step,
                     consume_estimate=produced,
+                    complete=step == last,
                 )
                 produced = True
             except BatchUpdateError as exc:
-                obs.instant(
-                    "batch.quarantined",
-                    cat="fault",
-                    nid=node.nid,
-                    rows=batch.dimension,
-                )
-                obs.inc("solve.batches_quarantined")
-                quarantined.append(
-                    QuarantineRecord(
-                        nid=node.nid,
-                        n_constraints=len(batch.constraints),
-                        n_rows=batch.dimension,
-                        reason=str(exc),
-                    )
-                )
+                quarantined.append(quarantine_record(node.nid, batch, exc))
+                if step == last and produced:
+                    complete_posterior(local, opts)
         return local, len(batches)
 
     def solve(

@@ -59,6 +59,7 @@ from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
 from repro.core.update import UpdateOptions
 from repro.errors import HierarchyError, SessionError
+from repro.faults.report import QuarantineRecord, RetryReport
 from repro.util.timer import Timer
 
 if TYPE_CHECKING:
@@ -87,7 +88,9 @@ class SessionResolveResult:
     ``dirty_nids`` is the frontier that was recomputed; ``cache_hits``
     counts the clean-child posteriors consumed from the cache (each one
     a subtree whose entire recomputation was skipped); ``generation`` is
-    the session generation this pass committed.
+    the session generation this pass committed.  ``quarantined`` and
+    ``retries`` are the pass's robustness ledger, as in
+    :class:`~repro.core.hier_solver.HierCycleResult`.
     """
 
     estimate: StructureEstimate
@@ -97,6 +100,8 @@ class SessionResolveResult:
     dirty_nids: tuple[int, ...]
     cache_hits: int
     records: list[NodeSolveRecord]
+    quarantined: tuple[QuarantineRecord, ...] = ()
+    retries: tuple[RetryReport, ...] = ()
 
     @property
     def n_dirty(self) -> int:
@@ -442,6 +447,8 @@ class SolveSession:
         prior_cov = initial.covariance.copy()
         current = initial
         deltas: list[float] = []
+        quarantine: list[QuarantineRecord] = []
+        retries: list[RetryReport] = []
         converged = False
         cycle_input: StructureEstimate | None = None
         with obs.span(
@@ -454,6 +461,8 @@ class SolveSession:
                 start = StructureEstimate(current.mean.copy(), prior_cov.copy())
                 self._bump_generation()
                 result = self._run_pass(start, dirty=None)
+                quarantine.extend(result.quarantined)
+                retries.extend(result.retries)
                 nxt = result.estimate
                 if gauge_invariant:
                     from repro.molecules.superpose import superposed_rmsd
@@ -475,7 +484,14 @@ class SolveSession:
         obs.inc("session.solves", labels=self.labels)
         if self.store is not None:
             self._persist_all()
-        return ConvergenceReport(current, len(deltas), deltas, converged=converged)
+        return ConvergenceReport(
+            current,
+            len(deltas),
+            deltas,
+            converged=converged,
+            quarantine=quarantine,
+            retries=retries,
+        )
 
     def resolve(self, scope: str = "dirty") -> SessionResolveResult:
         """Re-solve the staged dirty path from the warm start.
@@ -543,6 +559,8 @@ class SolveSession:
             dirty_nids=tuple(sorted(dirty)),
             cache_hits=cache_hits,
             records=result.records,
+            quarantined=result.quarantined,
+            retries=result.retries,
         )
 
     # --------------------------------------------------------- persistence

@@ -41,11 +41,12 @@ from repro.errors import (
     NotPositiveDefiniteError,
 )
 from repro.faults.injector import FaultInjector, current_injector
-from repro.faults.report import RetryAttempt, RetryReport
+from repro.faults.report import QuarantineRecord, RetryAttempt, RetryReport
 from repro.linalg.cholesky import cholesky_factor, cholesky_solve
 from repro.linalg.fast import (
     add_diagonal_inplace,
     gather_cht,
+    mirror_lower,
     spmm_support,
     symm,
     syrk_downdate,
@@ -185,6 +186,7 @@ def apply_batch(
     retry_log: list[RetryReport] | None = None,
     step: int = 0,
     consume_estimate: bool = False,
+    complete: bool = True,
 ) -> StructureEstimate:
     """Apply one constraint batch to ``estimate`` and return the posterior.
 
@@ -202,6 +204,14 @@ def apply_batch(
     0-based index within its solver unit, consumed by
     :attr:`UpdateOptions.schedule` to anneal the measurement variances
     over constraint application.
+
+    The returned covariance is exactly symmetric.  ``complete=False``
+    skips that last step for the intermediates of a solver batch loop:
+    the fast tier's covariance then holds only the triangle its downdate
+    maintains (see :mod:`repro.linalg.fast`), which is all the next
+    batch of the chain reads.  The loop passes ``complete=True`` for its
+    last batch, or finishes an owned intermediate with
+    :func:`complete_posterior` when that batch is quarantined.
     """
     if options.local_iterations < 1:
         raise DimensionError("local_iterations must be >= 1")
@@ -254,8 +264,42 @@ def apply_batch(
                 support=support, h_s=h_s, c_owned=c_owned,
             )
             c_owned = True
+        posterior = StructureEstimate(x, c)
+        if complete:
+            complete_posterior(posterior, options)
+    return posterior
 
-    return StructureEstimate(x, c)
+
+def complete_posterior(estimate: StructureEstimate, options: UpdateOptions) -> None:
+    """Finish a batch chain's posterior in place: make it exactly symmetric.
+
+    The fast tier's non-Joseph downdate maintains the upper triangle of
+    the C-ordered covariance only; this mirrors it onto the lower one (an
+    ``m-m`` event, ``op="mirror"``).  The Joseph and reference paths
+    return full matrices already and are left alone.  Call it only on a
+    posterior the caller owns — never on a node prior, a cached
+    posterior or a read-only shared-memory view.
+    """
+    if options.kernel_impl != "reference" and not options.joseph:
+        mirror_lower(estimate.covariance.T)
+
+
+def quarantine_record(
+    nid: "int | str", batch: ConstraintBatch, exc: BatchUpdateError
+) -> QuarantineRecord:
+    """Report a terminally failed batch that a solver loop skips.
+
+    Emits the ``batch.quarantined`` instant and bumps
+    ``solve.batches_quarantined``; the caller keeps the returned record.
+    """
+    obs.instant("batch.quarantined", cat="fault", nid=nid, rows=batch.dimension)
+    obs.inc("solve.batches_quarantined")
+    return QuarantineRecord(
+        nid=nid,
+        n_constraints=len(batch.constraints),
+        n_rows=batch.dimension,
+        reason=str(exc),
+    )
 
 
 def _update_with_retry(
@@ -433,9 +477,11 @@ def _fast_steps(
 
     The whitened gain factor ``W = C⁻Hᵗ·L⁻ᵗ`` replaces the explicit gain:
     ``K·ν = W·(L⁻¹ν)`` gives the state update and ``C⁺ = C⁻ − W·Wᵗ`` the
-    covariance downdate (a symmetric rank-m ``dsyrk``, lower triangle
-    only, mirrored — exactly symmetric by construction, so the reference
-    path's re-symmetrization pass disappears).  All intermediates live in
+    covariance downdate (a symmetric rank-m ``dsyrk`` on the upper
+    triangle of the C-ordered covariance only; steps 2-6 read nothing
+    else, and :func:`complete_posterior` mirrors it when the posterior
+    leaves its batch chain, so the reference path's re-symmetrization
+    pass disappears).  All intermediates live in
     the per-thread workspace arena; the only n×n allocation per attempt
     is the posterior covariance itself, which must outlive the call —
     and with ``c_owned`` even that disappears: the caller has declared

@@ -13,10 +13,19 @@ matrices.  The covariance math has more structure than that:
   the reference pair of solves) because ``K·ν = W·(L⁻¹ν)`` and
   ``K·(C⁻Hᵗ)ᵗ = W·Wᵗ``;
 * the covariance downdate ``C⁺ = C⁻ − W·Wᵗ`` is a rank-m *symmetric*
-  update (:func:`syrk_downdate`, BLAS ``dsyrk``): only the lower
-  triangle is computed, then mirrored — halving the dominant ``2·n²·m``
-  FLOPs of the reference ``outer_update`` and making re-symmetrization
-  unnecessary (the mirror is exact by construction).
+  update (:func:`syrk_downdate`, BLAS ``dsyrk``): only one triangle is
+  computed — halving the dominant ``2·n²·m`` FLOPs of the reference
+  ``outer_update``.
+
+**One valid triangle.**  Inside a chain of batch updates only the
+triangle ``dsyrk`` maintains is valid: the lower triangle of the
+Fortran-contiguous operand, which for a C-ordered covariance ``c``
+handed over as ``c.T`` is the upper triangle of ``c`` (``c[i, j]`` with
+``j ≥ i``).  :func:`symm` and :func:`gather_cht` read only that triangle,
+so nothing between two downdates needs the other one, and the posterior
+is completed once, by :func:`mirror_lower`, when it leaves the chain.
+The mirror only copies values, so the completed matrix is exactly
+symmetric and no re-symmetrization pass is needed.
 
 All kernels emit :class:`~repro.linalg.counters.KernelEvent` records with
 *corrected* FLOP/byte accounting: FLOPs count what the symmetric
@@ -69,10 +78,11 @@ def symm(
 ) -> np.ndarray:
     """``C @ B`` with ``C`` symmetric, via BLAS ``dsymm``.
 
-    ``C`` is (n×n) symmetric (only its upper triangle is read), ``B`` is
-    (n×m).  ``out``, if given, must be an (n×m) Fortran-contiguous buffer
-    that aliases neither operand; the product is written into it in
-    place.  FLOPs are the full ``2·n²·m`` (``dsymm`` performs them), but
+    ``C`` is (n×n) symmetric and only the triangle :func:`syrk_downdate`
+    maintains is read: the upper triangle of a C-ordered ``C``, the lower
+    triangle of a Fortran-ordered one.  ``B`` is (n×m).  ``out``, if
+    given, must be an (n×m) Fortran-contiguous buffer that aliases
+    neither operand; the product is written into it in place.  FLOPs are the full ``2·n²·m`` (``dsymm`` performs them), but
     the byte count credits the symmetric read: one triangle of ``C``.
     """
     c = np.asarray(c, dtype=np.float64)
@@ -83,14 +93,16 @@ def symm(
         raise DimensionError(f"symm dimension mismatch: {c.shape} @ {b.shape}")
     n, m = b.shape
     t0 = timed()
+    # The lower triangle of the Fortran alias is the maintained one
+    # (for a C-ordered ``c`` the alias is ``c.T``).
     cf = _as_fortran_symmetric(c)
     bf = b if b.flags.f_contiguous else np.asfortranarray(b)
     if out is None:
-        res = _blas.dsymm(1.0, cf, bf, side=0, lower=0)
+        res = _blas.dsymm(1.0, cf, bf, side=0, lower=1)
     else:
         if out.shape != (n, m) or not out.flags.f_contiguous:
             raise DimensionError("symm out buffer must be Fortran-ordered (n, m)")
-        res = _blas.dsymm(1.0, cf, bf, beta=0.0, c=out, side=0, lower=0, overwrite_c=1)
+        res = _blas.dsymm(1.0, cf, bf, beta=0.0, c=out, side=0, lower=1, overwrite_c=1)
     seconds = timed() - t0
     flops = 2.0 * n * n * m
     nbytes = 8.0 * (n * (n + 1) / 2.0 + 2.0 * n * m)
@@ -109,22 +121,30 @@ def gather_cht(
     ``H`` (m×n) has non-zeros only in the ``s = len(support)`` state
     columns listed in ``support``; ``h_support`` is its (m×s) dense
     restriction.  Then ``C·Hᵗ = (H_s · C[support, :])ᵗ`` — a thin
-    (m×s)·(s×n) GEMM instead of an O(n²·m) product.  ``out``, if given,
-    is a C-contiguous (m×n) buffer; the Fortran-contiguous transpose
-    view of the result (shape (n, m)) is returned either way.
+    (m×s)·(s×n) GEMM instead of an O(n²·m) product.  ``C`` must be
+    C-ordered and only its upper triangle is read: row ``i`` of the
+    gather takes ``C[i, j]`` for ``j ≥ i`` and ``C[j, i]`` below that,
+    an O(s·n) assembly.  ``out``, if given, is a C-contiguous (m×n)
+    buffer; the Fortran-contiguous transpose view of the result
+    (shape (n, m)) is returned either way.
     """
     c = np.asarray(c, dtype=np.float64)
     h_support = np.asarray(h_support, dtype=np.float64)
     n = c.shape[0]
     m, s = h_support.shape
-    if c.ndim != 2 or c.shape[1] != n:
-        raise DimensionError("gather_cht expects a square symmetric covariance")
+    if c.ndim != 2 or c.shape[1] != n or not c.flags.c_contiguous:
+        raise DimensionError("gather_cht expects a square C-ordered covariance")
     if support.shape != (s,):
         raise DimensionError(
             f"support size {support.shape} does not match h_support {h_support.shape}"
         )
     t0 = timed()
-    cs = c[support, :]  # (s, n) row gather; C symmetric so rows == columns
+    # (s, n) row gather, valid from the diagonal rightwards; the entries
+    # left of it come from the matching upper-triangle column.  One short
+    # strided copy per support row beats a fancy-indexed column gather.
+    cs = c[support, :]
+    for k, i in enumerate(support.tolist()):
+        cs[k, :i] = c[:i, i]
     if out is None:
         cht_t = np.dot(h_support, cs)
     else:
@@ -205,17 +225,27 @@ def trsm_right(
 def mirror_lower(a: np.ndarray) -> np.ndarray:
     """Copy the strict lower triangle of ``a`` onto its upper (in place).
 
-    Each step copies one partial row/column; the destination slice is
-    the contiguous one for the array's memory order, so the loop is n−1
-    contiguous writes fed by strided reads.  Returns ``a``.
+    The completion step of a batch chain: ``mirror_lower(c.T)`` makes a
+    C-ordered covariance whose upper triangle :func:`syrk_downdate`
+    maintained exactly symmetric.  Each step copies one partial
+    row/column; the destination slice is the contiguous one for the
+    array's memory order, so the loop is n−1 contiguous writes fed by
+    strided reads.  One ``m-m`` event (``op="mirror"``, 0 FLOPs: it
+    only moves values).  Returns ``a``.
     """
     n = a.shape[0]
+    t0 = timed()
     if a.flags.f_contiguous:
         for j in range(1, n):
             a[:j, j] = a[j, :j]
     else:
         for i in range(n - 1):
             a[i, i + 1 :] = a[i + 1 :, i]
+    seconds = timed() - t0
+    emit(
+        OpCategory.MATMAT, 0.0, 8.0 * n * (n - 1), (n,), seconds,
+        parallel_rows=n, op="mirror",
+    )
     return a
 
 
@@ -224,9 +254,12 @@ def syrk_downdate(c_out: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     ``c_out`` is an (n×n) Fortran-contiguous matrix updated in place:
     BLAS ``dsyrk`` computes only the lower triangle (``n²·m`` FLOPs —
-    half the reference ``outer_update``), which is then mirrored onto
-    the upper, so the result is exactly symmetric and needs no separate
-    re-symmetrization pass.
+    half the reference ``outer_update``) and reads only that triangle
+    of the input.  The strict upper triangle is left as it was; a
+    C-ordered covariance passed as ``c.T`` therefore has a valid upper
+    triangle afterwards, and :func:`mirror_lower` completes it once the
+    batch chain is done.  The FLOP count keeps its ``n²`` completion
+    term, so per-cycle totals do not depend on where the mirror runs.
     """
     c_out = np.asarray(c_out)
     w = np.asarray(w, dtype=np.float64)
@@ -243,7 +276,6 @@ def syrk_downdate(c_out: np.ndarray, w: np.ndarray) -> np.ndarray:
     if res is not c_out and not np.shares_memory(res, c_out):
         # BLAS had to copy (non-contiguous W path); fold the result back.
         c_out[:, :] = res
-    mirror_lower(c_out)
     seconds = timed() - t0
     flops = float(n) * n * m + float(n) * n
     nbytes = 8.0 * (n * (n + 1) + n * m)

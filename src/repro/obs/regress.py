@@ -171,7 +171,6 @@ def measure_incremental(
     speedup samples and whether *every* repeat's warm result was
     bit-identical to the cache-free full pass.
     """
-    import repro.core  # noqa: F401  - must import before repro.molecules.*
     from repro.constraints.distance import DistanceConstraint
     from repro.core.session import SolveSession
     from repro.molecules.rna import build_helix

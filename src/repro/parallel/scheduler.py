@@ -27,6 +27,7 @@ import concurrent.futures
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +37,15 @@ from repro.constraints.batch import make_batches
 from repro.core.hier_solver import HierCycleResult, NodeSolveRecord
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
-from repro.core.update import UpdateOptions, apply_batch
-from repro.errors import HierarchyError, WorkerCrashError
+from repro.core.update import (
+    UpdateOptions,
+    apply_batch,
+    complete_posterior,
+    quarantine_record,
+)
+from repro.errors import BatchUpdateError, HierarchyError, WorkerCrashError
 from repro.faults.injector import current_injector
+from repro.faults.report import QuarantineRecord, RetryReport
 from repro.linalg.counters import KernelEvent, Recorder, current_recorder, recording
 from repro.parallel.executors import Executor, SerialExecutor
 from repro.parallel.placement import (
@@ -85,14 +92,31 @@ class _NodeTask:
     labels: dict | None = None
 
 
-def _run_node_task(
-    task: _NodeTask,
-) -> tuple[int, StructureEstimate | None, list[KernelEvent], float, int, dict | None]:
+class _NodeResult(NamedTuple):
+    """What a worker ships home for one node.
+
+    ``posterior`` is ``None`` when the task carried a shared-memory
+    handle (the posterior went back through the segment).
+    ``quarantined``/``retries`` are the node's robustness ledger: the
+    batches it skipped after terminal failure and the retry reports of
+    every batch that needed a regularized retry.
+    """
+
+    nid: int
+    posterior: StructureEstimate | None
+    events: list[KernelEvent]
+    seconds: float
+    n_batches: int
+    payload: dict | None
+    quarantined: list[QuarantineRecord]
+    retries: list[RetryReport]
+
+
+def _run_node_task(task: _NodeTask) -> _NodeResult:
     """Worker entry point: apply the node's batches, recording events.
 
-    Returns ``(nid, posterior-or-None, events, seconds, n_batches,
-    obs_payload)``; the posterior slot is ``None`` when the task carried
-    a shared-memory handle (the posterior went back through the segment).
+    A batch that fails terminally is quarantined, exactly as in the
+    serial solver, and the node carries on with the next one.
     """
     rec = Recorder()
     timer = Timer()
@@ -120,6 +144,8 @@ def _run_node_task(
         make_batches(task.constraints, task.batch_size) if task.constraints else []
     )
     n_batches = len(batches)
+    quarantined: list[QuarantineRecord] = []
+    retries: list[RetryReport] = []
     with trace_scope, metrics_scope, flight_scope:
         with obs.span(
             f"node[{task.nid}]",
@@ -131,19 +157,31 @@ def _run_node_task(
             rows=sum(b.dimension for b in batches),
             parent_nid=task.parent_nid,
         ), recording(rec), rec.tagged(task.nid), timer:
-            # ``step > 0`` estimates are this loop's own intermediates —
-            # never the node prior (which may live in a shared-memory
-            # plane) — so apply_batch may recycle their covariance
-            # buffers in place.
+            # Once a batch has succeeded, ``estimate`` is this loop's own
+            # intermediate — never the node prior (which may live in a
+            # shared-memory plane) — so apply_batch may recycle its
+            # covariance buffer in place.  Intermediates keep one
+            # triangle; the last batch completes the posterior inside
+            # its own call.
+            produced = False
+            last = n_batches - 1
             for step, batch in enumerate(batches):
-                estimate = apply_batch(
-                    estimate,
-                    batch,
-                    task.column_map,
-                    task.options,
-                    step=step,
-                    consume_estimate=step > 0,
-                )
+                try:
+                    estimate = apply_batch(
+                        estimate,
+                        batch,
+                        task.column_map,
+                        task.options,
+                        retry_log=retries,
+                        step=step,
+                        consume_estimate=produced,
+                        complete=step == last,
+                    )
+                    produced = True
+                except BatchUpdateError as exc:
+                    quarantined.append(quarantine_record(task.nid, batch, exc))
+                    if step == last and produced:
+                        complete_posterior(estimate, task.options)
     if registry is not None:
         registry.histogram("node.seconds").observe(timer.elapsed)
         registry.counter("sched.tasks_completed").inc()
@@ -162,7 +200,10 @@ def _run_node_task(
     if task.prior_handle is not None:
         write_posterior(task.prior_handle, estimate)
         estimate = None
-    return task.nid, estimate, rec.events, timer.elapsed, n_batches, payload
+    return _NodeResult(
+        task.nid, estimate, rec.events, timer.elapsed, n_batches, payload,
+        quarantined, retries,
+    )
 
 
 class ParallelHierarchicalSolver:
@@ -287,6 +328,7 @@ class ParallelHierarchicalSolver:
         total = Timer()
         node_results: dict[int, StructureEstimate] = {}
         records: list[NodeSolveRecord] = []
+        ledgers: dict[int, tuple] = {}
         # Match the serial solver's contract: an outer active recorder
         # receives every worker's shipped events (workers record locally,
         # so nothing is double-counted).
@@ -314,11 +356,13 @@ class ParallelHierarchicalSolver:
                 )
                 if self.dispatch == "wavefront":
                     self._run_wavefront(
-                        estimate, node_results, records, merged, plane, dirty, cache
+                        estimate, node_results, records, ledgers, merged, plane,
+                        dirty, cache,
                     )
                 else:
                     self._run_dependency(
-                        estimate, node_results, records, merged, plane, dirty, cache
+                        estimate, node_results, records, ledgers, merged, plane,
+                        dirty, cache,
                     )
         finally:
             if plane is not None:
@@ -338,8 +382,17 @@ class ParallelHierarchicalSolver:
             root_posterior = cache.load(root.nid)
         root_posterior.scatter_into(final, root.atoms)
         records.sort(key=lambda r: r.nid)
+        # The robustness ledger in the serial solver's order: post-order
+        # nodes, batches in order within each node.
+        done = [ledgers[n.nid] for n in self.hierarchy.post_order() if n.nid in ledgers]
         return HierCycleResult(
-            final, total.elapsed, merged, records, self.n_constraint_rows
+            final,
+            total.elapsed,
+            merged,
+            records,
+            self.n_constraint_rows,
+            quarantined=tuple(q for qs, _ in done for q in qs),
+            retries=tuple(t for _, ts in done for t in ts),
         )
 
     # ------------------------------------------------- wavefront (legacy)
@@ -348,6 +401,7 @@ class ParallelHierarchicalSolver:
         estimate: StructureEstimate,
         node_results: dict[int, StructureEstimate],
         records: list[NodeSolveRecord],
+        ledgers: dict[int, tuple],
         merged: Recorder,
         plane: SharedEstimatePlane | None,
         dirty: "frozenset[int] | set[int] | None" = None,
@@ -376,6 +430,7 @@ class ParallelHierarchicalSolver:
                         plane,
                         node_results,
                         records,
+                        ledgers,
                         merged,
                         registry,
                         tracer,
@@ -389,6 +444,7 @@ class ParallelHierarchicalSolver:
         estimate: StructureEstimate,
         node_results: dict[int, StructureEstimate],
         records: list[NodeSolveRecord],
+        ledgers: dict[int, tuple],
         merged: Recorder,
         plane: SharedEstimatePlane | None,
         dirty: "frozenset[int] | set[int] | None" = None,
@@ -413,7 +469,8 @@ class ParallelHierarchicalSolver:
         """
         if self.placement is not None:
             return self._run_dependency_placed(
-                estimate, node_results, records, merged, plane, dirty, cache
+                estimate, node_results, records, ledgers, merged, plane, dirty,
+                cache,
             )
         tracer = obs.current_tracer()
         registry = obs.current_metrics()
@@ -499,6 +556,7 @@ class ParallelHierarchicalSolver:
                     plane,
                     node_results,
                     records,
+                    ledgers,
                     merged,
                     registry,
                     tracer,
@@ -565,6 +623,7 @@ class ParallelHierarchicalSolver:
         estimate: StructureEstimate,
         node_results: dict[int, StructureEstimate],
         records: list[NodeSolveRecord],
+        ledgers: dict[int, tuple],
         merged: Recorder,
         plane: SharedEstimatePlane | None,
         dirty: "frozenset[int] | set[int] | None" = None,
@@ -733,6 +792,7 @@ class ParallelHierarchicalSolver:
                     plane,
                     node_results,
                     records,
+                    ledgers,
                     merged,
                     registry,
                     tracer,
@@ -772,10 +832,11 @@ class ParallelHierarchicalSolver:
     def _ingest(
         self,
         task: _NodeTask,
-        result: tuple,
+        result: _NodeResult,
         plane: SharedEstimatePlane | None,
         node_results: dict[int, StructureEstimate],
         records: list[NodeSolveRecord],
+        ledgers: dict[int, tuple],
         merged: Recorder,
         registry,
         tracer,
@@ -784,7 +845,8 @@ class ParallelHierarchicalSolver:
         cache=None,
     ) -> None:
         """Fold one completed node result into the cycle state."""
-        nid, posterior, events, seconds, n_batches, payload = result
+        nid, posterior, events, seconds, n_batches, payload, quarantined, retries = result
+        ledgers[nid] = (quarantined, retries)
         if posterior is None:
             posterior = plane.read_posterior(task.prior_handle)
         if cache is not None:

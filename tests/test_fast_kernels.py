@@ -89,6 +89,16 @@ class TestSymm:
         b = rng.normal(0, 1, (8, 3))
         assert np.allclose(symm(c, b), c @ b)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_reads_only_the_maintained_triangle(self, rng, order):
+        """Upper of a C-ordered operand, lower of a Fortran one."""
+        c = np.array(_spd(rng, 10), order=order)
+        b = rng.normal(0, 1, (10, 3))
+        expected = c @ b
+        stale = np.tril_indices(10, -1) if order == "C" else np.triu_indices(10, 1)
+        c[stale] = np.nan
+        assert np.allclose(symm(c, b), expected, rtol=1e-13)
+
     def test_rejects_bad_shapes(self, rng):
         with pytest.raises(DimensionError):
             symm(rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (4, 2)))
@@ -120,24 +130,28 @@ class TestTrsm:
 
 
 class TestSyrkDowndate:
+    """``syrk_downdate`` maintains the lower triangle of its Fortran target."""
+
     def test_matches_outer_product_downdate(self, rng):
         c = np.asfortranarray(_spd(rng, 10))
         w = rng.normal(0, 1, (10, 3))
         expected = c - w @ w.T
         res = syrk_downdate(c, w)
-        assert np.allclose(res, expected, rtol=1e-12)
+        lower = np.tril_indices(10)
+        assert np.allclose(res[lower], expected[lower], rtol=1e-12)
 
     def test_result_exactly_symmetric(self, rng):
         c = np.asfortranarray(_spd(rng, 17))
-        res = syrk_downdate(c, rng.normal(0, 1, (17, 4)))
+        res = mirror_lower(syrk_downdate(c, rng.normal(0, 1, (17, 4))))
         assert (res == res.T).all()
 
     def test_works_on_transpose_view_of_c_ordered(self, rng):
         base = np.ascontiguousarray(_spd(rng, 8))
         expected = base - np.outer(base[:, 0], base[:, 0])
         w = base[:, :1].copy()
-        syrk_downdate(base.T, w)  # F-contiguous view; symmetric downdate
-        assert np.allclose(base, expected, rtol=1e-12)
+        syrk_downdate(base.T, w)  # F-contiguous view: the upper of ``base``
+        upper = np.triu_indices(8)
+        assert np.allclose(base[upper], expected[upper], rtol=1e-12)
 
     def test_rejects_non_fortran_target(self, rng):
         with pytest.raises(DimensionError):
@@ -159,6 +173,17 @@ class TestSmallKernels:
         h[:, support] = rng.normal(0, 1, (m, support.size))
         cht = gather_cht(c, h[:, support], support)
         assert np.allclose(cht, c @ h.T, rtol=1e-12)
+
+    def test_gather_cht_reads_only_the_upper_triangle(self, rng):
+        n, m = 14, 4
+        c = _spd(rng, n)
+        support = np.array([0, 5, 6, 13])
+        h = np.zeros((m, n))
+        h[:, support] = rng.normal(0, 1, (m, support.size))
+        expected = c @ h.T
+        c[np.tril_indices(n, -1)] = np.nan
+        cht = gather_cht(c, h[:, support], support)
+        assert np.allclose(cht, expected, rtol=1e-12)
 
     def test_spmm_support_matches_full_product(self, rng):
         n, m = 12, 3

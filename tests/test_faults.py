@@ -1,16 +1,17 @@
 """Deterministic failure-mode tests for the robustness layer.
 
 Covers: fault-schedule determinism, retry-backoff escalation, quarantine
-accounting, checkpoint/resume equivalence, and the enriched Cholesky
-failure diagnostics.
+accounting (on every backend), checkpoint/resume equivalence, and the
+enriched Cholesky failure diagnostics.
 """
 
 import numpy as np
 import pytest
 
 from repro.constraints import DistanceConstraint, PositionConstraint
-from repro.constraints.batch import ConstraintBatch
+from repro.constraints.batch import ConstraintBatch, make_batches
 from repro.core.hier_solver import HierarchicalSolver
+from repro.core.session import SolveSession
 from repro.core.state import StructureEstimate
 from repro.core.update import UpdateOptions, apply_batch
 from repro.errors import (
@@ -27,6 +28,8 @@ from repro.faults import (
     fault_injection,
 )
 from repro.linalg.cholesky import cholesky_factor
+from repro.parallel import ParallelHierarchicalSolver, ThreadExecutor
+from repro.parallel.scheduler import _NodeTask, _run_node_task
 
 
 def indefinite_estimate(bad=-1e-4):
@@ -183,6 +186,82 @@ class TestQuarantine:
         )
         assert report.quarantine == []
         assert report.quarantined_constraints == 0
+
+
+class TestQuarantineOnEveryBackend:
+    """Thread and process workers quarantine per batch, like the serial solver.
+
+    Under ``chol_p=1.0`` every factorization fails whatever order the
+    draws come in, so every backend must skip exactly the same batches.
+    """
+
+    OPTIONS = UpdateOptions(max_retries=1)
+
+    @staticmethod
+    def _injector():
+        return FaultInjector(FaultConfig(chol_p=1.0, seed=3))
+
+    def test_thread_backend_matches_serial(self, helix2_problem):
+        est = helix2_problem.initial_estimate(0)
+        with fault_injection(self._injector()):
+            serial = HierarchicalSolver(
+                helix2_problem.hierarchy, 16, options=self.OPTIONS
+            ).run_cycle(est)
+        with ThreadExecutor(2) as ex, fault_injection(self._injector()):
+            threaded = ParallelHierarchicalSolver(
+                helix2_problem.hierarchy, 16, options=self.OPTIONS, executor=ex
+            ).run_cycle(est)
+        assert sum(q.n_rows for q in serial.quarantined) == serial.n_constraint_rows
+        assert threaded.quarantined == serial.quarantined
+        assert threaded.retries == serial.retries
+        assert np.array_equal(threaded.estimate.mean, serial.estimate.mean)
+        assert np.array_equal(
+            threaded.estimate.covariance, serial.estimate.covariance
+        )
+
+    def test_worker_task_ships_its_ledger_home(self, helix2_problem):
+        # Process workers do not inherit the parent's injector, so the
+        # worker entry point is driven in-process here.
+        hierarchy = helix2_problem.hierarchy
+        node = next(n for n in hierarchy.post_order() if n.constraints)
+        prior = helix2_problem.initial_estimate(0).extract_atoms(node.atoms)
+        task = _NodeTask(
+            nid=node.nid,
+            prior=prior,
+            constraints=node.constraints,
+            column_map=node.column_map(hierarchy.n_atoms),
+            batch_size=16,
+            options=self.OPTIONS,
+        )
+        with fault_injection(self._injector()):
+            result = _run_node_task(task)
+        n_batches = len(make_batches(node.constraints, 16))
+        assert result.n_batches == n_batches
+        assert [q.nid for q in result.quarantined] == [node.nid] * n_batches
+        assert sum(q.n_constraints for q in result.quarantined) == len(
+            node.constraints
+        )
+        assert len(result.retries) == n_batches
+        assert not any(r.succeeded for r in result.retries)
+        # Nothing was applied: the prior comes back untouched.
+        assert np.array_equal(result.posterior.mean, prior.mean)
+        assert np.array_equal(result.posterior.covariance, prior.covariance)
+
+    def test_session_reports_carry_the_ledger(self, helix2_problem):
+        est = helix2_problem.initial_estimate(0)
+        with ThreadExecutor(2) as ex, fault_injection(self._injector()):
+            session = SolveSession(
+                helix2_problem.hierarchy,
+                helix2_problem.constraints,
+                options=self.OPTIONS,
+                executor=ex,
+            )
+            report = session.solve(est, max_cycles=1)
+            resolved = session.resolve(scope="full")
+        assert report.quarantined_rows == session.solver.n_constraint_rows
+        assert len(report.retries) == len(report.quarantine)
+        assert resolved.quarantined == tuple(report.quarantine)
+        assert resolved.retries == tuple(report.retries)
 
 
 class TestFaultedSolveCompletes:

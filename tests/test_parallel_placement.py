@@ -14,6 +14,7 @@ environment block, and the CLI flag plumbing.
 """
 
 import argparse
+import concurrent.futures
 import json
 
 import numpy as np
@@ -169,6 +170,23 @@ class TestHierarchyEdges:
         assert edges == {leaf.nid: -1}
 
 
+class _LockstepThreadExecutor(ThreadExecutor):
+    """Thread backend whose completion order the test scripts.
+
+    Each task runs on a pool thread, but ``submit`` returns only once it
+    has finished.  Every ``wait`` round of the scheduler then sees all
+    inflight tasks complete together and re-dispatches the lanes in
+    index order, so a lane whose own queue has drained (the one packed
+    with the heavy-predicted leaf) steals from a peer that still has
+    queued work, whatever the host's thread timing.
+    """
+
+    def submit(self, fn, item, crash=False):
+        future = super().submit(fn, item, crash)
+        concurrent.futures.wait([future])
+        return future
+
+
 class TestBitIdentity:
     """Packed + stolen dispatch must equal the serial solver bitwise."""
 
@@ -197,7 +215,7 @@ class TestBitIdentity:
         serial = HierarchicalSolver(
             helix2_problem.hierarchy, batch_size=16
         ).run_cycle(helix2_problem.initial_estimate(0))
-        with ThreadExecutor(4) as ex:
+        with _LockstepThreadExecutor(4) as ex:
             placed, counters = self._placed(helix2_problem, ex, skewed)
         assert np.array_equal(serial.estimate.mean, placed.estimate.mean)
         assert np.array_equal(

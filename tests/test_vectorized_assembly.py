@@ -443,6 +443,7 @@ class TestVectorImplEndToEnd:
     def test_flat_solve_matches_fast(self, square_estimate, square_constraints):
         """The plan hands the fast kernels what the scalar assembler would."""
         from repro.core.update import _update_with_retry, apply_batch
+        from repro.linalg import mirror_lower
 
         batch = make_batches(square_constraints, 100)[0]
         options = UpdateOptions()
@@ -454,6 +455,9 @@ class TestVectorImplEndToEnd:
             x, c, z, h, big_h, r, x.shape[0], options, None, None,
             support=support, h_s=big_h.restrict_columns(support).to_dense(),
         )
+        # The private step leaves the chain's one maintained triangle;
+        # complete it as apply_batch does before the posterior leaves.
+        mirror_lower(fast[1].T)
         np.testing.assert_allclose(vec.mean, fast[0], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(vec.covariance, fast[1], rtol=1e-10, atol=1e-12)
 
