@@ -79,6 +79,9 @@ class KernelEvent:
         independent row-strips the work splits into.  The simulator uses
         it to bound intra-kernel parallelism (a Cholesky of a 16×16 matrix
         cannot use 32 processors).
+    op:
+        The specific kernel ("gemm", "syrk_downdate", "mirror", ...), so
+        consumers can tell apart kernels that share a category.
     """
 
     category: OpCategory
@@ -88,6 +91,7 @@ class KernelEvent:
     seconds: float
     tag: object = None
     parallel_rows: int = 1
+    op: str = ""
 
 
 @dataclass
@@ -110,6 +114,7 @@ class Recorder:
         shape: tuple[int, ...],
         seconds: float,
         parallel_rows: int = 1,
+        op: str = "",
     ) -> None:
         self.events.append(
             KernelEvent(
@@ -120,6 +125,7 @@ class Recorder:
                 seconds=seconds,
                 tag=self.tag,
                 parallel_rows=parallel_rows,
+                op=op,
             )
         )
 
@@ -194,15 +200,15 @@ def emit(
 ) -> None:
     """Record an event on the active recorder, if any (kernel-side helper).
 
-    ``op`` names the specific kernel ("gemm", "solve_lower", ...) for the
-    observability layer; the recorder itself keys on ``category`` only.
+    ``op`` names the specific kernel ("gemm", "solve_lower", ...); it
+    rides on the recorded event and names the kernel's trace span.
     When a :mod:`repro.obs` tracer or metrics registry is active the call
     additionally becomes a ``kernel`` span / kernel counters — this is
     the one choke point through which every instrumented kernel flows.
     """
     rec = _ACTIVE.get()
     if rec is not None:
-        rec.record(category, flops, nbytes, shape, seconds, parallel_rows)
+        rec.record(category, flops, nbytes, shape, seconds, parallel_rows, op)
     tracer = current_tracer()
     if tracer is not None:
         end = tracer.clock.now()

@@ -61,16 +61,16 @@ def _problem(rng, p, atoms_per_batch):
 
 
 def _is_mirror(event):
-    """The completion mirror: the one ``m-m`` event that counts no FLOPs."""
-    return event.category == OpCategory.MATMAT and event.flops == 0.0
+    """The completion mirror, booked under ``m-m`` beside the dsyrk."""
+    return event.op == "mirror"
 
 
 def _cht_kernel(events, n):
-    """Which kernel formed ``C·Hᵗ``: gather_cht records (n, s, m), symm (n, m)."""
+    """Which kernel formed the ``n``-row ``C·Hᵗ``: symm or gather_cht."""
     kinds = {
-        "gather_cht" if len(e.shape) == 3 else "symm"
+        e.op
         for e in events
-        if e.category == OpCategory.DENSE_SPARSE and e.shape[0] == n
+        if e.op in ("symm", "gather_cht") and e.shape[0] == n
     }
     assert len(kinds) == 1
     return kinds.pop()
@@ -106,6 +106,20 @@ class TestUnmaintainedTriangleIsNeverRead:
         assert np.array_equal(clean.mean, poisoned.mean)
         assert np.array_equal(clean.covariance, poisoned.covariance)
         assert (poisoned.covariance == poisoned.covariance.T).all()
+
+    @pytest.mark.parametrize(
+        "p, atoms_per_batch, branch, other",
+        [(6, 6, "symm", "gather_cht"), (40, 4, "gather_cht", "symm")],
+    )
+    def test_cht_kernels_carry_distinct_op_names(
+        self, rng, p, atoms_per_batch, branch, other
+    ):
+        """Both ``C·Hᵗ`` kernels book under ``d-s``; ``op`` tells them apart."""
+        estimate, batches = _problem(rng, p, atoms_per_batch)
+        _, events = _chain(estimate, batches, UpdateOptions(), poison=False)
+        ops = {e.op for e in events if e.category == OpCategory.DENSE_SPARSE}
+        assert branch in ops and other not in ops
+        assert all(e.category == OpCategory.MATMAT for e in events if _is_mirror(e))
 
     def test_standalone_call_is_a_chain_of_one(self, rng):
         estimate, batches = _problem(rng, 40, 4)

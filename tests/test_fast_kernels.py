@@ -3,10 +3,9 @@
 The production tier (``UpdateOptions.kernel_impl="fast"``: planned
 assembly feeding the symmetric kernels) must agree with the reference
 tier to rtol 1e-10 on full solves — helix workloads, random SPD
-problems, mixed constraint types, every executor backend and both
-dispatch modes — while its building blocks (``symm``, ``trsm_right``,
-``syrk_downdate``, the workspace arena) each match their NumPy
-references exactly.
+problems, mixed constraint types and every executor backend — while
+its building blocks (``symm``, ``trsm_right``, ``syrk_downdate``, the
+workspace arena) each match their NumPy references exactly.
 """
 
 import threading
@@ -660,9 +659,8 @@ class TestFastMatchesReferenceFuzzShapes:
         assert result.ok, result.detail
 
 
-class TestDispatchModes:
-    @pytest.mark.parametrize("dispatch", ["dependency", "wavefront"])
-    def test_dispatch_modes_match_serial(self, helix2_problem, dispatch):
+class TestDispatch:
+    def test_dependency_dispatch_matches_serial(self, helix2_problem):
         est = helix2_problem.initial_estimate(0)
         serial = HierarchicalSolver(
             helix2_problem.hierarchy, batch_size=16
@@ -672,7 +670,6 @@ class TestDispatchModes:
                 helix2_problem.hierarchy,
                 batch_size=16,
                 executor=ex,
-                dispatch=dispatch,
             ).run_cycle(est)
         assert np.array_equal(serial.estimate.mean, par.estimate.mean)
         assert np.array_equal(serial.estimate.covariance, par.estimate.covariance)

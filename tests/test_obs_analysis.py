@@ -434,6 +434,43 @@ def _write(path, doc):
     return str(path)
 
 
+class TestDoctorFirstCome:
+    """Headroom and worst-lane surfacing on a first-come thread trace."""
+
+    @pytest.fixture()
+    def thread_trace(self, helix2_problem):
+        tracer = obs.Tracer()
+        with ThreadExecutor(2) as ex, obs.tracing(tracer):
+            ParallelHierarchicalSolver(
+                helix2_problem.hierarchy, batch_size=16, executor=ex
+            ).run_cycle(helix2_problem.initial_estimate(0))
+        return tracer
+
+    def test_headroom_reported(self, thread_trace, helix2_problem):
+        report = analysis.doctor_report(
+            thread_trace, hierarchy=helix2_problem.hierarchy
+        )
+        cp = report["passes"][0]["critical_path"]
+        assert cp["headroom"] >= 0.0
+        assert cp["headroom"] == pytest.approx(
+            max(0.0, cp["perfect_speedup"] - cp["achieved_speedup"])
+        )
+
+    def test_worst_lane_names_heaviest_subtree(self, thread_trace, helix2_problem):
+        report = analysis.doctor_report(
+            thread_trace, hierarchy=helix2_problem.hierarchy
+        )
+        wl = report["passes"][0]["utilization"]["worst_lane"]
+        assert wl["busy_seconds"] > 0.0
+        heavy = wl["heaviest"]
+        assert heavy["nid"] in {n.nid for n in helix2_problem.hierarchy.nodes}
+        assert heavy["measured_seconds"] > 0.0
+        # Equation-1 attrs are on the spans, so a prediction is attached
+        assert heavy["predicted_seconds"] is None or heavy["predicted_seconds"] > 0.0
+        text = analysis.format_doctor_report(report)
+        assert "(solver=parallel backend=ThreadExecutor," in text
+
+
 class TestRegress:
     def test_median_mad(self):
         med, mad = regress.median_mad([1.0, 2.0, 100.0])
